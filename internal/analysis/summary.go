@@ -20,6 +20,11 @@ type MetricsSummary struct {
 	JoinP95 time.Duration
 	JoinMax time.Duration
 
+	// DeliveryP50/P95 are quantiles of the per-session mean capture-to-
+	// arrival latency (player.Metrics.DeliveryLatency, Fig. 5).
+	DeliveryP50 time.Duration
+	DeliveryP95 time.Duration
+
 	StallRatioMean float64
 	StallRatioP95  float64
 	StallRatioMax  float64
@@ -44,8 +49,10 @@ func SummarizeMetrics(ms []player.Metrics) MetricsSummary {
 	}
 	joins := make([]float64, 0, len(ms))
 	ratios := make([]float64, 0, len(ms))
+	deliveries := make([]float64, 0, len(ms))
 	for _, m := range ms {
 		joins = append(joins, m.JoinTime.Seconds())
+		deliveries = append(deliveries, m.DeliveryLatency.Seconds())
 		ratios = append(ratios, m.StallRatio)
 		if m.JoinTime > s.JoinMax {
 			s.JoinMax = m.JoinTime
@@ -61,6 +68,8 @@ func SummarizeMetrics(ms []player.Metrics) MetricsSummary {
 	}
 	s.JoinP50 = secondsDur(stats.Quantile(joins, 0.5))
 	s.JoinP95 = secondsDur(stats.Quantile(joins, 0.95))
+	s.DeliveryP50 = secondsDur(stats.Quantile(deliveries, 0.5))
+	s.DeliveryP95 = secondsDur(stats.Quantile(deliveries, 0.95))
 	s.StallRatioMean = stats.Mean(ratios)
 	s.StallRatioP95 = stats.Quantile(ratios, 0.95)
 	return s
@@ -82,7 +91,7 @@ func SummaryTable(id, title string, cohorts []CohortSummary) Table {
 	t := Table{
 		ID:     id,
 		Title:  title,
-		Header: []string{"cohort", "sessions", "join p50", "join p95", "stall mean", "stall p95", "longest stall", "stalls"},
+		Header: []string{"cohort", "sessions", "join p50", "join p95", "delivery p50", "delivery p95", "stall mean", "stall p95", "longest stall", "stalls"},
 	}
 	for _, c := range cohorts {
 		s := c.Summary
@@ -91,6 +100,8 @@ func SummaryTable(id, title string, cohorts []CohortSummary) Table {
 			fmt.Sprintf("%d", s.Sessions),
 			fmtDur(s.JoinP50),
 			fmtDur(s.JoinP95),
+			fmtDur(s.DeliveryP50),
+			fmtDur(s.DeliveryP95),
 			fmt.Sprintf("%.3f", s.StallRatioMean),
 			fmt.Sprintf("%.3f", s.StallRatioP95),
 			fmtDur(s.LongestStall),

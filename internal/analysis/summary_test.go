@@ -111,9 +111,9 @@ func TestSummarizeMetricsQuantileOrdering(t *testing.T) {
 	// and p95 must sit above the bulk when one tail session dominates.
 	var in []player.Metrics
 	for i := 0; i < 19; i++ {
-		in = append(in, player.Metrics{JoinTime: ms(100), StallRatio: 0.01})
+		in = append(in, player.Metrics{JoinTime: ms(100), StallRatio: 0.01, DeliveryLatency: ms(200)})
 	}
-	in = append(in, player.Metrics{JoinTime: ms(5000), StallRatio: 0.8})
+	in = append(in, player.Metrics{JoinTime: ms(5000), StallRatio: 0.8, DeliveryLatency: ms(3000)})
 	s := SummarizeMetrics(in)
 	if !(s.JoinP50 <= s.JoinP95 && s.JoinP95 <= s.JoinMax) {
 		t.Errorf("join quantiles not monotone: p50=%v p95=%v max=%v", s.JoinP50, s.JoinP95, s.JoinMax)
@@ -124,6 +124,9 @@ func TestSummarizeMetricsQuantileOrdering(t *testing.T) {
 	if s.JoinP95 <= ms(100) {
 		t.Errorf("JoinP95 = %v, want above the bulk with a 5%% tail", s.JoinP95)
 	}
+	if s.DeliveryP50 != ms(200) || s.DeliveryP95 <= ms(200) {
+		t.Errorf("delivery p50=%v p95=%v, want 200ms bulk and p95 above it", s.DeliveryP50, s.DeliveryP95)
+	}
 	if !(s.StallRatioP95 <= s.StallRatioMax) {
 		t.Errorf("stall quantiles not monotone: p95=%v max=%v", s.StallRatioP95, s.StallRatioMax)
 	}
@@ -131,11 +134,11 @@ func TestSummarizeMetricsQuantileOrdering(t *testing.T) {
 
 func TestSummaryTableRenders(t *testing.T) {
 	tab := SummaryTable("scenario-qoe", "per-cohort QoE", []CohortSummary{
-		{Label: "wifi", Summary: SummarizeMetrics([]player.Metrics{{JoinTime: ms(120)}})},
+		{Label: "wifi", Summary: SummarizeMetrics([]player.Metrics{{JoinTime: ms(120), DeliveryLatency: ms(340)}})},
 		{Label: "3g", Summary: SummarizeMetrics([]player.Metrics{{JoinTime: ms(900), StallRatio: 0.4, StallCount: 3, LongestStall: ms(2500)}})},
 	})
 	out := tab.Render()
-	for _, want := range []string{"cohort", "wifi", "3g", "join p95", "longest stall", "0.400", "2.5s"} {
+	for _, want := range []string{"cohort", "wifi", "3g", "join p95", "delivery p50", "delivery p95", "340ms", "longest stall", "0.400", "2.5s"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}

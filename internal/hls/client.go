@@ -2,18 +2,31 @@ package hls
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
+// LiveEdgeOffset is how many segments behind the newest a live viewer
+// joins: players hold back from the edge for buffer safety. The HLS
+// model (player.SimConfig) and every live viewer join the same way.
+const LiveEdgeOffset = 2
+
+// ErrEnded is returned by a Resolve function once the stream is over
+// (e.g. access now resolves to a VOD replay); Run then ends cleanly.
+var ErrEnded = errors.New("hls: stream ended")
+
 // ClientConfig configures the HLS polling client.
 type ClientConfig struct {
-	// BaseURL is the directory URL containing playlist.m3u8.
-	BaseURL string
+	// Resolve returns the directory URL containing playlist.m3u8. Run
+	// calls it at start and again after any failed playlist or segment
+	// fetch, which is where edge failover happens; ErrEnded ends the
+	// session cleanly.
+	Resolve func(context.Context) (string, error)
 	// PollInterval between playlist refreshes; defaults to half the target
 	// duration as typical players do.
 	PollInterval time.Duration
@@ -27,16 +40,21 @@ type ClientConfig struct {
 	OnSegment func(FetchedSegment)
 }
 
-// Client downloads a live HLS stream until the context ends or the
-// playlist is marked ended.
+// Client downloads an HLS stream until the context ends or the playlist
+// is marked ended. A live stream is joined LiveEdgeOffset segments behind
+// the newest, a VOD (ENDLIST) playlist at its first segment. A segment
+// whose fetch failed stays pending and is retried while the playlist
+// still lists it; once it has left the window it is skipped.
 type Client struct {
 	cfg  ClientConfig
 	http *http.Client
 
-	mu      sync.Mutex
+	// fetched holds completed segments not yet delivered; next is the
+	// sequence to deliver next (-1 before the join). Only Run touches them.
 	fetched map[int]FetchedSegment
-	failed  map[int]bool
 	next    int
+
+	mu sync.Mutex
 	// Bytes counts total payload bytes downloaded (playlists + segments).
 	Bytes int64
 	// PlaylistFetches counts playlist polls (each is one HTTP request).
@@ -55,63 +73,46 @@ func NewClient(cfg ClientConfig) *Client {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	return &Client{cfg: cfg, http: hc, fetched: map[int]FetchedSegment{}, failed: map[int]bool{}, next: -1}
+	return &Client{cfg: cfg, http: hc, fetched: map[int]FetchedSegment{}, next: -1}
 }
 
-// Run polls the playlist and fetches segments until ctx is cancelled or
-// the stream ends. It returns the number of segments delivered.
+// Run polls the playlist and fetches segments until ctx is cancelled, the
+// stream ends, or Resolve fails. It returns the number of segments
+// delivered.
 func (c *Client) Run(ctx context.Context) (int, error) {
 	delivered := 0
-	sem := make(chan struct{}, c.cfg.Parallelism)
-	var wg sync.WaitGroup
-	defer wg.Wait()
+	base := ""
 	for {
-		pl, err := c.fetchPlaylist(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				return delivered, nil
-			}
-			return delivered, err
-		}
-		for _, seg := range pl.Segments {
-			seg := seg
-			c.mu.Lock()
-			if c.next == -1 {
-				// Live join: start from the newest segment in the window,
-				// as live players do to minimise latency.
-				c.next = pl.Segments[len(pl.Segments)-1].Sequence
-			}
-			_, have := c.fetched[seg.Sequence]
-			shouldFetch := !have && seg.Sequence >= c.next
-			c.mu.Unlock()
-			if !shouldFetch {
-				continue
-			}
-			c.mu.Lock()
-			c.fetched[seg.Sequence] = FetchedSegment{} // reserve
-			c.mu.Unlock()
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				fs, err := c.fetchSegment(ctx, seg)
-				c.mu.Lock()
-				if err != nil {
-					// Expired or unreachable: skip it rather than stalling
-					// the delivery pipeline forever.
-					delete(c.fetched, seg.Sequence)
-					c.failed[seg.Sequence] = true
-				} else {
-					c.fetched[seg.Sequence] = fs
+		if base == "" {
+			var err error
+			if base, err = c.cfg.Resolve(ctx); err != nil {
+				if errors.Is(err, ErrEnded) || ctx.Err() != nil {
+					return delivered, nil
 				}
-				c.mu.Unlock()
-			}()
+				return delivered, err
+			}
 		}
-		// Deliver contiguous completed segments in order.
-		wg.Wait()
-		delivered += c.deliverReady()
-		if pl.Ended {
+		pl, err := c.fetchPlaylist(ctx, base)
+		failed := err != nil
+		if !failed && len(pl.Segments) > 0 {
+			first := pl.Segments[0].Sequence
+			if c.next == -1 {
+				c.next = first
+				if !pl.Ended {
+					c.next = max(first, pl.Segments[len(pl.Segments)-1].Sequence-LiveEdgeOffset)
+				}
+			}
+			failed = c.fetchRound(ctx, base, pl.Segments)
+			delivered += c.deliverReady(first)
+		}
+		if ctx.Err() != nil {
+			return delivered, nil
+		}
+		if failed {
+			// Edge dark, segment expired or link drop: end the round and
+			// fail over through a fresh Resolve.
+			base = ""
+		} else if pl.Ended {
 			return delivered, nil
 		}
 		select {
@@ -122,78 +123,112 @@ func (c *Client) Run(ctx context.Context) (int, error) {
 	}
 }
 
-func (c *Client) deliverReady() int {
-	c.mu.Lock()
-	var ready []FetchedSegment
-	for {
-		if c.failed[c.next] {
-			delete(c.failed, c.next)
-			c.next++
+// fetchRound fetches every listed segment from next on that is not held
+// yet, Parallelism at a time, launching no more after a failure. It
+// reports whether a fetch failed.
+func (c *Client) fetchRound(ctx context.Context, base string, segs []Segment) bool {
+	got := make([]*FetchedSegment, len(segs))
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, c.cfg.Parallelism)
+	for i, seg := range segs {
+		if _, have := c.fetched[seg.Sequence]; have || seg.Sequence < c.next {
 			continue
 		}
-		fs, ok := c.fetched[c.next]
-		if !ok || fs.Data == nil {
+		sem <- struct{}{}
+		if failed.Load() {
 			break
 		}
-		ready = append(ready, fs)
-		delete(c.fetched, c.next)
-		c.next++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if fs, err := c.fetchSegment(ctx, base, seg); err == nil {
+				got[i] = &fs
+			} else {
+				failed.Store(true)
+			}
+		}()
 	}
-	c.mu.Unlock()
-	sort.Slice(ready, func(i, j int) bool { return ready[i].Sequence < ready[j].Sequence })
-	for _, fs := range ready {
-		if c.cfg.OnSegment != nil {
-			c.cfg.OnSegment(fs)
+	wg.Wait()
+	for _, fs := range got {
+		if fs != nil {
+			c.fetched[fs.Sequence] = *fs
 		}
 	}
-	return len(ready)
+	return failed.Load()
 }
 
-func (c *Client) fetchPlaylist(ctx context.Context) (MediaPlaylist, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/playlist.m3u8", nil)
+// deliverReady hands completed segments to OnSegment in sequence order.
+// A missing sequence below first (the playlist's first sequence) has left
+// the window and can never arrive, so delivery skips ahead to the next
+// completed segment or to first.
+func (c *Client) deliverReady(first int) int {
+	n := 0
+	for {
+		if fs, ok := c.fetched[c.next]; ok {
+			delete(c.fetched, c.next)
+			c.next++
+			n++
+			if c.cfg.OnSegment != nil {
+				c.cfg.OnSegment(fs)
+			}
+			continue
+		}
+		if c.next >= first {
+			return n
+		}
+		skip := first
+		for seq := range c.fetched {
+			if seq > c.next && seq < skip {
+				skip = seq
+			}
+		}
+		c.next = skip
+	}
+}
+
+// get fetches one URL and returns its body, or an error for any non-200.
+func (c *Client) get(ctx context.Context, url string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return MediaPlaylist{}, err
+		return nil, err
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return MediaPlaylist{}, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return MediaPlaylist{}, fmt.Errorf("hls: playlist status %d", resp.StatusCode)
+		return nil, fmt.Errorf("hls: %s: status %d", url, resp.StatusCode)
 	}
 	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.Bytes += int64(len(data))
+	c.mu.Unlock()
+	return data, nil
+}
+
+func (c *Client) fetchPlaylist(ctx context.Context, base string) (MediaPlaylist, error) {
+	data, err := c.get(ctx, base+"/playlist.m3u8")
 	if err != nil {
 		return MediaPlaylist{}, err
 	}
 	c.mu.Lock()
-	c.Bytes += int64(len(data))
 	c.PlaylistFetches++
 	c.mu.Unlock()
 	return ParseMediaPlaylist(data)
 }
 
-func (c *Client) fetchSegment(ctx context.Context, seg Segment) (FetchedSegment, error) {
+func (c *Client) fetchSegment(ctx context.Context, base string, seg Segment) (FetchedSegment, error) {
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/"+seg.URI, nil)
+	data, err := c.get(ctx, base+"/"+seg.URI)
 	if err != nil {
 		return FetchedSegment{}, err
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return FetchedSegment{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return FetchedSegment{}, fmt.Errorf("hls: segment status %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return FetchedSegment{}, err
-	}
-	c.mu.Lock()
-	c.Bytes += int64(len(data))
-	c.mu.Unlock()
 	return FetchedSegment{
 		Sequence:   seg.Sequence,
 		Duration:   time.Duration(seg.Duration * float64(time.Second)),

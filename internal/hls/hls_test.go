@@ -188,7 +188,7 @@ func TestOriginAndClientLive(t *testing.T) {
 	var mu sync.Mutex
 	var fetched []FetchedSegment
 	client := NewClient(ClientConfig{
-		BaseURL:      srv.URL,
+		Resolve:      resolveTo(srv.URL),
 		PollInterval: 50 * time.Millisecond,
 		Parallelism:  2,
 		OnSegment: func(fs FetchedSegment) {
@@ -262,7 +262,7 @@ func TestOriginServesEndlistAfterFinish(t *testing.T) {
 	}
 
 	// A client polling the completed broadcast returns promptly.
-	client := NewClient(ClientConfig{BaseURL: srv.URL, PollInterval: 10 * time.Millisecond})
+	client := NewClient(ClientConfig{Resolve: resolveTo(srv.URL), PollInterval: 10 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()

@@ -11,6 +11,10 @@ package player
 import (
 	"sort"
 	"time"
+
+	"periscope/internal/avc"
+	"periscope/internal/hls"
+	"periscope/internal/mpegts"
 )
 
 // Chunk is one delivery of media to the player: a frame (RTMP) or a
@@ -25,6 +29,54 @@ type Chunk struct {
 	// was captured at the broadcaster (derived from the embedded NTP
 	// timestamps in the wire tier).
 	CaptureEnd time.Duration
+}
+
+// SegmentChunk demuxes one fetched MPEG-TS segment into a player chunk,
+// session-relative to start. Capture time comes from the first embedded
+// NTP timestamp SEI, extrapolated to the segment's last video frame;
+// without one it falls back to the arrival time. It reports false for a
+// segment carrying no video.
+func SegmentChunk(fs hls.FetchedSegment, start time.Time) (Chunk, bool) {
+	units, err := mpegts.DemuxAll(fs.Data)
+	if err != nil {
+		return Chunk{}, false
+	}
+	var minPTS, maxPTS int64 = -1, -1
+	var seiWall time.Time
+	var seiPTS int64 = -1
+	for _, u := range units {
+		if u.PID != mpegts.PIDVideo {
+			continue
+		}
+		if minPTS == -1 || u.PTS < minPTS {
+			minPTS = u.PTS
+		}
+		if u.PTS > maxPTS {
+			maxPTS = u.PTS
+		}
+		if seiPTS == -1 {
+			if nals, err := avc.ParseAnnexB(u.Data); err == nil {
+				if ts, ok := avc.FindTimestamp(nals); ok {
+					seiWall = ts
+					seiPTS = u.PTS
+				}
+			}
+		}
+	}
+	if minPTS == -1 {
+		return Chunk{}, false
+	}
+	arrival := fs.FetchEnd.Sub(start)
+	capture := arrival
+	if seiPTS >= 0 {
+		capture = seiWall.Add(mpegts.FromTicks(maxPTS - seiPTS)).Sub(start)
+	}
+	return Chunk{
+		Arrival:    arrival,
+		MediaStart: mpegts.FromTicks(minPTS),
+		MediaEnd:   mpegts.FromTicks(maxPTS),
+		CaptureEnd: capture,
+	}, true
 }
 
 // Metrics are the per-session QoE results.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"time"
 
+	"periscope/internal/hls"
 	"periscope/internal/media"
 )
 
@@ -69,7 +70,7 @@ func DefaultSimConfig(seed int64) SimConfig {
 		SegmentTarget:      3600 * time.Millisecond,
 		PackagingDelay:     400 * time.Millisecond,
 		PlaylistTTL:        2 * time.Second,
-		LiveEdgeOffset:     2,
+		LiveEdgeOffset:     hls.LiveEdgeOffset,
 		BroadcasterGapProb: 0.22,
 		Seed:               seed,
 	}

@@ -13,8 +13,21 @@ import (
 // scenario asserts at least three SLOs (see scenarios.go); a breach
 // fails the test with the rendered delta table in the log.
 
+// requireDeliveryMeasured checks that every cohort's capture-to-arrival
+// latency comes from the segments' embedded NTP timestamps: media is
+// captured before it arrives, so a measured p50 is strictly positive.
+func requireDeliveryMeasured(t *testing.T, res *Result) {
+	t.Helper()
+	for _, c := range res.Cohorts {
+		if c.Summary.DeliveryP50 <= 0 {
+			t.Errorf("cohort %s: delivery p50 = %v, want > 0 (SEI capture timing)", c.Label, c.Summary.DeliveryP50)
+		}
+	}
+}
+
 func TestScenarioFlashCrowd(t *testing.T) {
 	res := RunT(t, FlashCrowd())
+	requireDeliveryMeasured(t, res)
 	// Beyond the SLO block: the burst must actually have exercised the
 	// fill hierarchy (the whole point of the scenario).
 	final := res.Snapshots[len(res.Snapshots)-1].Snap
@@ -29,6 +42,7 @@ func TestScenarioFlashCrowd(t *testing.T) {
 
 func TestScenarioMassChurn(t *testing.T) {
 	res := RunT(t, MassChurn())
+	requireDeliveryMeasured(t, res)
 	final := res.Snapshots[len(res.Snapshots)-1].Snap
 	// The churn was real: rooms opened, rooms closed, and everything
 	// opened was closed by the end.
@@ -42,6 +56,7 @@ func TestScenarioMassChurn(t *testing.T) {
 
 func TestScenarioMobileProfiles(t *testing.T) {
 	res := RunT(t, MobileProfiles())
+	requireDeliveryMeasured(t, res)
 	if len(res.Cohorts) != 3 {
 		t.Fatalf("got %d cohorts, want 3", len(res.Cohorts))
 	}
@@ -55,6 +70,7 @@ func TestScenarioMobileProfiles(t *testing.T) {
 
 func TestScenarioRegionalOutage(t *testing.T) {
 	res := RunT(t, RegionalOutage())
+	requireDeliveryMeasured(t, res)
 	final := res.Snapshots[len(res.Snapshots)-1].Snap
 	// Recovery must have re-warmed the downed cluster (warmups counted on
 	// its POPs beyond the promotion-time warm-up).

@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"io"
+	"context"
 	"net/http"
 	"time"
 
@@ -9,21 +9,22 @@ import (
 	"periscope/internal/netem"
 	"periscope/internal/player"
 	"periscope/internal/service"
+	"periscope/internal/session"
 )
 
-// viewerSession is one HLS viewer's life: resolve an edge via the real
-// AccessVideo policy, poll the playlist, fetch new segments, re-resolve
-// when the edge stops answering (which is where health-driven steering
-// hands out a live POP), and stop at the session deadline or when the
-// playlist goes ENDLIST. Fetched segments are recorded as player chunks;
-// QoE is replayed through player.Engine afterwards.
+// viewerSession is one HLS viewer's life on hls.Client: resolve an edge
+// via the real AccessVideo policy (re-resolving after any failed fetch,
+// which is where health-driven steering hands out a live POP), join
+// hls.LiveEdgeOffset segments behind the newest, and stop at the session
+// deadline or when the playlist goes ENDLIST. Fetched segments are
+// recorded as player chunks with SEI capture timing; QoE is replayed
+// through player.Engine afterwards.
 type viewerSession struct {
 	cohort string
 	dur    time.Duration
 
 	// Written only by the session goroutine; read after wg.Wait.
 	chunks      []player.Chunk
-	reresolves  int
 	lastArrival time.Duration
 	ended       bool
 }
@@ -31,101 +32,32 @@ type viewerSession struct {
 func (vs *viewerSession) run(svc *service.Service, id string, profile *netem.AccessProfile, seed int64) {
 	// Each viewer gets its own transport so its keep-alive sockets die
 	// with the session (leakcheck would flag a shared pool's strays).
-	var httpc *http.Client
-	var closeIdle func()
+	var tr http.RoundTripper = &http.Transport{MaxIdleConnsPerHost: 4}
+	timeout := 2 * time.Second
 	if profile != nil {
-		link := profile.NewLink(seed)
-		tr := link.Transport(nil)
-		httpc = &http.Client{Transport: tr, Timeout: 4 * time.Second}
-		closeIdle = func() {
-			if c, ok := tr.(interface{ CloseIdleConnections() }); ok {
-				c.CloseIdleConnections()
-			}
-		}
-	} else {
-		tr := &http.Transport{MaxIdleConnsPerHost: 4}
-		httpc = &http.Client{Transport: tr, Timeout: 2 * time.Second}
-		closeIdle = tr.CloseIdleConnections
+		tr, timeout = profile.NewLink(seed).Transport(nil), 4*time.Second
 	}
-	defer closeIdle()
+	httpc := &http.Client{Transport: tr, Timeout: timeout}
+	defer httpc.CloseIdleConnections()
 
 	start := time.Now()
-	stop := start.Add(vs.dur)
-	var base string
-	var media time.Duration
-	next := -1
-	get := func(path string) ([]byte, bool) {
-		resp, err := httpc.Get(base + "/" + path)
-		if err != nil {
-			return nil, false
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			return nil, false
-		}
-		return body, true
-	}
-	for time.Now().Before(stop) {
-		if base == "" {
-			acc, err := svc.AccessVideo(id)
-			if err != nil || acc.HLSBaseURL == "" {
-				if err != nil && vs.ended {
-					// Broadcast gone and we saw its ENDLIST: done.
-					return
-				}
-				time.Sleep(100 * time.Millisecond)
-				continue
+	ctx, cancel := context.WithDeadline(context.Background(), start.Add(vs.dur))
+	defer cancel()
+	client := hls.NewClient(hls.ClientConfig{
+		Resolve:      session.ResolveHLS(svc.AccessVideo, id),
+		PollInterval: 120 * time.Millisecond,
+		HTTPClient:   httpc,
+		OnSegment: func(fs hls.FetchedSegment) {
+			if ch, ok := player.SegmentChunk(fs, start); ok {
+				vs.chunks = append(vs.chunks, ch)
+				vs.lastArrival = ch.Arrival
 			}
-			if acc.Replay {
-				// The broadcast ended and access now resolves to its VOD
-				// replay; a live session stops rather than silently
-				// switching streams.
-				vs.ended = true
-				return
-			}
-			base = acc.HLSBaseURL
-		}
-		body, ok := get("playlist.m3u8")
-		if !ok {
-			// Edge dark (or an access-link drop): fail over through a
-			// fresh AccessVideo.
-			base = ""
-			vs.reresolves++
-			continue
-		}
-		pl, err := hls.ParseMediaPlaylist(body)
-		if err != nil {
-			continue
-		}
-		for _, s := range pl.Segments {
-			if s.Sequence < next {
-				continue
-			}
-			if _, ok := get(s.URI); !ok {
-				base = ""
-				vs.reresolves++
-				break
-			}
-			dur := time.Duration(s.Duration * float64(time.Second))
-			arr := time.Since(start)
-			vs.chunks = append(vs.chunks, player.Chunk{
-				Arrival:    arr,
-				MediaStart: media,
-				MediaEnd:   media + dur,
-				CaptureEnd: arr,
-			})
-			vs.lastArrival = arr
-			media += dur
-			next = s.Sequence + 1
-		}
-		if pl.Ended && base != "" {
-			// Final playlist fully drained: the broadcast ended mid-session.
-			vs.ended = true
-			return
-		}
-		time.Sleep(120 * time.Millisecond)
-	}
+		},
+	})
+	client.Run(ctx)
+	// Returning before the deadline means the broadcast ended (ENDLIST,
+	// or access now resolves to its replay).
+	vs.ended = ctx.Err() == nil
 }
 
 // metrics replays the session through the playback-buffer model.

@@ -250,12 +250,11 @@ type shardMsg struct {
 	sp         *rtmp.SharedPayload
 }
 
-// fanoutShard owns a disjoint subset of a hub's viewers. In sharded mode
-// a dedicated worker delivers descriptors from ch, so K shards spread the
-// per-viewer enqueue work across K cores; in serial mode (baseline,
-// deterministic tests) deliver runs inline on the publisher goroutine.
-// Viewer resync state (waiting/needSeq/dropped) is only touched under mu
-// by whichever goroutine is delivering, so it needs no extra locking.
+// fanoutShard owns a disjoint subset of a hub's viewers. A dedicated
+// worker delivers descriptors from ch, so K shards spread the per-viewer
+// enqueue work across K cores. Viewer resync state
+// (waiting/needSeq/dropped) is only touched under mu by whichever
+// goroutine is delivering, so it needs no extra locking.
 type fanoutShard struct {
 	h    *hub
 	ch   chan shardMsg
@@ -492,9 +491,6 @@ type hub struct {
 	b   *broadcastmodel.Broadcast
 
 	shards []*fanoutShard
-	// serial delivers inline on the publisher goroutine — the
-	// pre-sharding baseline, kept for benchmarks and deterministic tests.
-	serial bool
 
 	seqHdrs atomic.Pointer[seqHeaders]
 	seg     atomic.Pointer[hls.Segmenter]
@@ -519,28 +515,24 @@ type hub struct {
 }
 
 func newHub(s *Service, b *broadcastmodel.Broadcast) *hub {
-	return newFanoutHub(s, b, fanoutShardCount(), false)
+	return newFanoutHub(s, b, fanoutShardCount())
 }
 
-// newFanoutHub builds a hub with an explicit shard count; serial mode
-// skips the workers and delivers synchronously.
-func newFanoutHub(s *Service, b *broadcastmodel.Broadcast, shards int, serial bool) *hub {
+// newFanoutHub builds a hub with an explicit shard count.
+func newFanoutHub(s *Service, b *broadcastmodel.Broadcast, shards int) *hub {
 	if shards < 1 {
 		shards = 1
 	}
 	h := &hub{
 		svc:    s,
 		b:      b,
-		serial: serial,
 		byConn: map[*rtmp.ServerConn]*viewerState{},
 		stopCh: make(chan struct{}),
 	}
 	for i := 0; i < shards; i++ {
 		sh := &fanoutShard{h: h, ch: make(chan shardMsg, shardQueueDepth), quit: make(chan struct{})}
 		h.shards = append(h.shards, sh)
-		if !serial {
-			go sh.run()
-		}
+		go sh.run()
 	}
 	return h
 }
@@ -760,21 +752,13 @@ func (h *hub) onMedia(msg rtmp.Message) {
 		if sh.nviewers.Load() == 0 {
 			continue
 		}
-		if h.serial {
-			sh.deliver(m)
-		} else {
-			sp.Retain()
-			sh.publish(m)
-		}
+		sp.Retain()
+		sh.publish(m)
 	}
-	if seg := h.seg.Load(); seg != nil {
-		if f := h.feed.Load(); f != nil {
-			sp.Retain()
-			f.publish(feedMsg{typeID: msg.TypeID, timestamp: msg.Timestamp, vt: vt, sp: sp})
-		} else {
-			feedSegmenter(seg, msg.TypeID, msg.Timestamp, msg.Payload, vt)
-			h.maybeWarmAfterFirstSegment(seg)
-		}
+	// enableHLS stores the feed before the segmenter.
+	if h.seg.Load() != nil {
+		sp.Retain()
+		h.feed.Load().publish(feedMsg{typeID: msg.TypeID, timestamp: msg.Timestamp, vt: vt, sp: sp})
 	}
 	sp.Release()
 }
@@ -857,13 +841,11 @@ func (h *hub) enableHLS() error {
 			pop.warm(h.b.ID)
 		}
 	}
-	if !h.serial {
-		f := &hlsFeed{h: h, ch: make(chan feedMsg, feedQueueDepth), quit: make(chan struct{})}
-		// Publish the feed before the segmenter: onMedia loads them in the
-		// opposite order, so a visible segmenter implies a visible feed.
-		h.feed.Store(f)
-		go f.run()
-	}
+	f := &hlsFeed{h: h, ch: make(chan feedMsg, feedQueueDepth), quit: make(chan struct{})}
+	// Publish the feed before the segmenter: onMedia loads them in the
+	// opposite order, so a visible segmenter implies a visible feed.
+	h.feed.Store(f)
+	go f.run()
 	h.seg.Store(seg)
 	return nil
 }

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"testing"
 	"time"
 
@@ -40,9 +42,27 @@ func TestReplayServedAsVOD(t *testing.T) {
 		t.Fatalf("replay access = %+v", acc)
 	}
 
+	// The VOD playlist as listed: a replay viewer must get all of it.
+	resp, err := http.Get(acc.HLSBaseURL + "/playlist.m3u8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed, err := hls.ParseMediaPlaylist(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !listed.Ended || len(listed.Segments) < 2 {
+		t.Fatalf("replay playlist: ended=%v, %d segments", listed.Ended, len(listed.Segments))
+	}
+
 	var segs []hls.FetchedSegment
 	client := hls.NewClient(hls.ClientConfig{
-		BaseURL:      acc.HLSBaseURL,
+		Resolve:      func(context.Context) (string, error) { return acc.HLSBaseURL, nil },
 		PollInterval: 50 * time.Millisecond,
 		OnSegment:    func(fs hls.FetchedSegment) { segs = append(segs, fs) },
 	})
@@ -52,14 +72,18 @@ func TestReplayServedAsVOD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 || len(segs) == 0 {
-		t.Fatal("no VOD segments fetched")
-	}
 	// VOD: the client terminates on ENDLIST rather than the context.
 	if ctx.Err() != nil {
 		t.Error("client did not stop at ENDLIST")
 	}
-	for _, s := range segs {
+	// VOD plays from the start: every listed segment, in order.
+	if n != len(listed.Segments) || len(segs) != len(listed.Segments) {
+		t.Fatalf("delivered %d segments (%d callbacks), playlist lists %d", n, len(segs), len(listed.Segments))
+	}
+	for i, s := range segs {
+		if s.Sequence != listed.Segments[i].Sequence {
+			t.Fatalf("segment %d: sequence %d, want %d", i, s.Sequence, listed.Segments[i].Sequence)
+		}
 		if _, err := mpegts.DemuxAll(s.Data); err != nil {
 			t.Fatalf("segment %d corrupt: %v", s.Sequence, err)
 		}

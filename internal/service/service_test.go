@@ -216,7 +216,7 @@ func TestHLSViewingEndToEnd(t *testing.T) {
 	var segMu sync.Mutex
 	var segs []hls.FetchedSegment
 	client := hls.NewClient(hls.ClientConfig{
-		BaseURL:      acc.HLSBaseURL,
+		Resolve:      func(context.Context) (string, error) { return acc.HLSBaseURL, nil },
 		PollInterval: 200 * time.Millisecond,
 		OnSegment: func(fs hls.FetchedSegment) {
 			segMu.Lock()

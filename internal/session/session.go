@@ -12,6 +12,7 @@ import (
 
 	"periscope/internal/api"
 	"periscope/internal/broadcastmodel"
+	"periscope/internal/hls"
 	"periscope/internal/media"
 	"periscope/internal/player"
 )
@@ -123,7 +124,7 @@ func (c *Campaign) watchOne(limitMbps float64, device Device) (Record, bool) {
 		SegmentTarget:      3600 * time.Millisecond,
 		PackagingDelay:     400 * time.Millisecond,
 		PlaylistTTL:        2 * time.Second,
-		LiveEdgeOffset:     2,
+		LiveEdgeOffset:     hls.LiveEdgeOffset,
 		BroadcasterGapProb: 0.22,
 		// Imperfect NTP sync: small residual error, sometimes negative.
 		SyncErr: time.Duration(c.rng.NormFloat64() * float64(40*time.Millisecond)),

@@ -11,7 +11,6 @@ import (
 	"periscope/internal/avc"
 	"periscope/internal/flv"
 	"periscope/internal/hls"
-	"periscope/internal/mpegts"
 	"periscope/internal/netem"
 	"periscope/internal/player"
 	"periscope/internal/rtmp"
@@ -63,7 +62,7 @@ func WatchOnce(cfg WireConfig) (Record, error) {
 		chunks, err = watchRTMP(acc, cfg, start)
 	case "HLS":
 		engine = player.DefaultHLSEngine(hls.DefaultSegmentTarget)
-		chunks, err = watchHLS(acc, cfg, start)
+		chunks, err = watchHLS(apiCli, id, cfg, start)
 	default:
 		return Record{}, fmt.Errorf("session: unknown protocol %q", acc.Protocol)
 	}
@@ -179,69 +178,44 @@ func watchRTMP(acc api.AccessVideoResponse, cfg WireConfig, start time.Time) ([]
 
 // watchHLS fetches segments and converts them to player chunks, pulling
 // capture times from the SEI timestamps inside each segment.
-func watchHLS(acc api.AccessVideoResponse, cfg WireConfig, start time.Time) ([]player.Chunk, error) {
+func watchHLS(apiCli *api.Client, id string, cfg WireConfig, start time.Time) ([]player.Chunk, error) {
 	var chunks []player.Chunk
 	client := hls.NewClient(hls.ClientConfig{
-		BaseURL:     acc.HLSBaseURL,
+		Resolve:     ResolveHLS(apiCli.AccessVideo, id),
 		Parallelism: 2,
 		HTTPClient:  netHTTPClient(cfg.Shaper),
 		OnSegment: func(fs hls.FetchedSegment) {
-			ch, ok := segmentToChunk(fs, start)
-			if ok {
+			if ch, ok := player.SegmentChunk(fs, start); ok {
 				chunks = append(chunks, ch)
 			}
 		},
 	})
 	ctx, cancel := context.WithDeadline(context.Background(), start.Add(cfg.WatchFor))
 	defer cancel()
-	if _, err := client.Run(ctx); err != nil {
-		return chunks, err
-	}
-	return chunks, nil
+	_, err := client.Run(ctx)
+	return chunks, err
 }
 
-// segmentToChunk demuxes one MPEG-TS segment into a player chunk.
-func segmentToChunk(fs hls.FetchedSegment, start time.Time) (player.Chunk, bool) {
-	units, err := mpegts.DemuxAll(fs.Data)
-	if err != nil {
-		return player.Chunk{}, false
-	}
-	var minPTS, maxPTS int64 = -1, -1
-	var seiWall time.Time
-	var seiPTS int64 = -1
-	for _, u := range units {
-		if u.PID != mpegts.PIDVideo {
-			continue
-		}
-		if minPTS == -1 || u.PTS < minPTS {
-			minPTS = u.PTS
-		}
-		if u.PTS > maxPTS {
-			maxPTS = u.PTS
-		}
-		if seiPTS == -1 {
-			if nals, err := avc.ParseAnnexB(u.Data); err == nil {
-				if ts, ok := avc.FindTimestamp(nals); ok {
-					seiWall = ts
-					seiPTS = u.PTS
-				}
+// ResolveHLS is an hls.ClientConfig.Resolve over an accessVideo call for
+// broadcast id: it retries every 100 ms until access hands out an HLS
+// edge (the steering policy picks a healthy POP), and reports
+// hls.ErrEnded once access resolves to the VOD replay — a live session
+// stops rather than silently switching streams.
+func ResolveHLS(access func(id string) (api.AccessVideoResponse, error), id string) func(context.Context) (string, error) {
+	return func(ctx context.Context) (string, error) {
+		for {
+			acc, err := access(id)
+			if err == nil && acc.Replay {
+				return "", hls.ErrEnded
+			}
+			if err == nil && acc.HLSBaseURL != "" {
+				return acc.HLSBaseURL, nil
+			}
+			select {
+			case <-ctx.Done():
+				return "", ctx.Err()
+			case <-time.After(100 * time.Millisecond):
 			}
 		}
 	}
-	if minPTS == -1 {
-		return player.Chunk{}, false
-	}
-	mediaStart := mpegts.FromTicks(minPTS)
-	mediaEnd := mpegts.FromTicks(maxPTS)
-	arrival := fs.FetchEnd.Sub(start)
-	capture := arrival
-	if seiPTS >= 0 {
-		capture = seiWall.Add(mpegts.FromTicks(maxPTS - seiPTS)).Sub(start)
-	}
-	return player.Chunk{
-		Arrival:    arrival,
-		MediaStart: mediaStart,
-		MediaEnd:   mediaEnd,
-		CaptureEnd: capture,
-	}, true
 }
